@@ -298,10 +298,6 @@ class PartitionController:
             if self._decision_counter is not None:
                 self._decision_counter.inc()
 
-    @property
-    def current_data_ways(self) -> int:
-        return self.timeline[-1].data_ways
-
     def tlb_fraction_timeline(self) -> List[Tuple[int, float]]:
         """(access count, TLB way share) pairs — the Figure 9 series."""
         return [(d.access_count, d.tlb_fraction) for d in self.timeline]

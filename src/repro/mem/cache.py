@@ -21,9 +21,8 @@ simulator's hottest structure, so it avoids per-line objects, per-set
 sublists and tuple-returning index helpers on the datapath.  Replacement
 bookkeeping runs through monomorphic fast paths bound at construction
 (``repro.mem.replacement.fast_paths``); the abstract policy object stays
-attached as the reference oracle and can be forced with
-``fast_path=False`` (or globally via :func:`set_fast_paths`) for
-equivalence testing.
+attached as the reference oracle and can be forced for caches built
+afterwards with :func:`set_fast_paths` for equivalence testing.
 
 ``LineKind`` is an ``IntEnum`` so the datapath can use a kind directly as
 an index and a truth value (``DATA`` is falsy, ``TLB`` truthy) without
@@ -154,7 +153,6 @@ class Cache:
         policy: str | ReplacementPolicy = "lru",
         line_bytes: int = CACHE_LINE_BYTES,
         dip: bool = False,
-        fast_path: Optional[bool] = None,
     ):
         if size_bytes % (ways * line_bytes):
             raise ValueError(
@@ -189,16 +187,12 @@ class Cache:
         self.stats = CacheStats()
         # Partition: number of ways reserved for DATA lines; None = unpartitioned.
         self._data_ways: Optional[int] = None
-        self._partition_ranges = (range(ways), range(ways))
         self._partition_bounds = ((0, ways), (0, ways))
         self.dip = DipDueler() if dip else None
         # Most recent access's estimated LRU stack position, for profilers
         # running in pseudo-LRU estimation mode (paper Section 3.4).
         self.last_stack_position: Optional[int] = None
-        if fast_path is None:
-            fast_path = _FAST_PATHS_ENABLED
-        bundle = fast_paths(self.policy) if fast_path else None
-        self.fast_path = bundle is not None
+        bundle = fast_paths(self.policy) if _FAST_PATHS_ENABLED else None
         if bundle is not None:
             self._hit_update, self._select_victim, self._insert = bundle
         else:
@@ -259,17 +253,9 @@ class Cache:
             )
         self._data_ways = data_ways
         if data_ways is None:
-            self._partition_ranges = (range(self.ways), range(self.ways))
             self._partition_bounds = ((0, self.ways), (0, self.ways))
         else:
-            self._partition_ranges = (
-                range(data_ways),
-                range(data_ways, self.ways),
-            )
             self._partition_bounds = ((0, data_ways), (data_ways, self.ways))
-
-    def _candidate_ways(self, kind: LineKind) -> range:
-        return self._partition_ranges[kind]
 
     # ------------------------------------------------------------------
     # Datapath

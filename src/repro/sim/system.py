@@ -31,7 +31,6 @@ from repro.mem.address import (
     CACHE_LINE_BYTES,
     PAGE_4K_BITS,
     PAGE_2M_BITS,
-    line_address,
 )
 from repro.mem.cache import Cache, LineKind
 from repro.mem.dram import DDR4_2133, DIE_STACKED, DramChannel
@@ -143,6 +142,10 @@ class System:
         self._tsb_predictor = PageSizePredictor()
         self._guest_tsbs: Dict[Tuple[int, int], Tsb] = {}
         self._host_tsbs: Dict[int, Tsb] = {}
+        # Wrappers first: each walker binds the resolved ``_mem_from_l2``
+        # once, in ``_build_core``.
+        if self._profiler is not None:
+            self._install_profiler_wrappers()
 
         self.cores: List[CoreState] = []
         for core_id in range(config.cores):
@@ -164,25 +167,6 @@ class System:
         self.tlb_ref_levels = {"l2": 0, "l3": 0, "dram": 0}
         if telemetry is not None and telemetry.metrics is not None:
             self._register_metrics(telemetry.metrics)
-        # Bind bare datapath variants when the corresponding hooks are
-        # off.  This makes PR 1's "None keeps every hook free" contract
-        # structural: the disabled path no longer even tests for the
-        # hooks at access time.  Profiler wrappers (below) compose on
-        # top, so a metrics-only Telemetry still profiles the bare path.
-        if self.accounting is None:
-            self._mem_from_l2 = self._mem_from_l2_bare
-            self.access = self._access_bare
-        if telemetry is None:
-            self._walk = self._walk_bare
-        if self._profiler is not None:
-            self._install_profiler_wrappers()
-        # Rebind each walker's memory accessor from the construction-time
-        # lambda to a partial over the *resolved* ``_mem_from_l2`` (bare
-        # or profiler-wrapped, chosen above).  A partial removes one
-        # Python frame from every walk memory reference — the single
-        # hottest call edge after the caches themselves.
-        for core in self.cores:
-            core.walker._access = partial(self._mem_from_l2, core)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -219,13 +203,13 @@ class System:
             l2_tlb=l2_tlb,
             l1d=l1d,
             l2=l2,
-            walker=None,  # set below: the accessor closes over `core`
+            walker=None,  # set below: the accessor binds `core`
             mshr=MshrModel(entries=cfg.mshr_entries, workload_mlp=cfg.workload_mlp),
         )
+        # A partial over the (possibly profiler-wrapped) ``_mem_from_l2``
+        # keeps one Python frame off every walk memory reference.
         core.walker = PageWalker(
-            accessor=lambda addr, kind, is_write, _core=core: self._mem_from_l2(
-                _core, addr, kind, is_write
-            ),
+            accessor=partial(self._mem_from_l2, core),
             psc_config=cfg.psc,
             levels=cfg.page_table_levels,
         )
@@ -484,58 +468,6 @@ class System:
             l3.write_back(evicted.address, evicted.kind)
         return latency
 
-    def _mem_from_l2_bare(
-        self, core: CoreState, address: int, kind: int, is_write: bool
-    ) -> int:
-        """:meth:`_mem_from_l2` with the cycle-accounting hooks compiled
-        out; bound over it at construction when no accountant exists.
-        Must stay result-identical (the golden-equivalence suite compares
-        instrumented and bare runs through the public results)."""
-        line = address & _LINE_MASK
-        l2 = core.l2
-        latency = l2.latency
-        hit = l2.lookup(line, kind, is_write)
-        controller = core.l2_controller
-        if controller is not None:
-            line_no = line >> l2._line_shift
-            controller.observe(
-                kind, line_no & l2._set_mask, line_no >> l2._set_bits, hit
-            )
-        if hit:
-            if kind:
-                self.tlb_ref_levels["l2"] += 1
-            return latency
-        l3 = self.l3
-        latency += l3.latency
-        l3_hit = l3.lookup(line, kind, False)
-        controller = self.l3_controller
-        if controller is not None:
-            line_no = line >> l3._line_shift
-            controller.observe(
-                kind, line_no & l3._set_mask, line_no >> l3._set_bits, l3_hit
-            )
-        if kind:
-            self.tlb_ref_levels["l3" if l3_hit else "dram"] += 1
-        if not l3_hit:
-            latency += self._dram_access(line)
-            l3.fill(line, kind)
-        evicted = l2.fill(line, kind, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            l3.write_back(evicted.address, evicted.kind)
-        return latency
-
-    def _data_access(self, core: CoreState, address: int, is_write: bool) -> int:
-        """A demand data reference from the core (L1D first)."""
-        line = address & _LINE_MASK
-        l1d = core.l1d
-        if l1d.lookup(line, 0, is_write):
-            return l1d.latency
-        latency = l1d.latency + self._mem_from_l2(core, line, 0, False)
-        evicted = l1d.fill(line, 0, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            core.l2.write_back(evicted.address, evicted.kind)
-        return latency
-
     # ------------------------------------------------------------------
     # Translation datapath
     # ------------------------------------------------------------------
@@ -571,20 +503,6 @@ class System:
                 )
             if self._walk_hist is not None:
                 self._walk_hist.record(result.latency)
-        self._last_walk_latency = result.latency
-        return TlbEntry(
-            frame_base=result.translation.frame_base,
-            page_bits=result.translation.page_bits,
-        )
-
-    def _walk_bare(
-        self, core: CoreState, asid: Asid, virtual_address: int
-    ) -> TlbEntry:
-        """:meth:`_walk` without telemetry/accounting/profiler hooks;
-        bound over it at construction when no telemetry bundle exists."""
-        vm = self.vms[asid.vm_id]
-        core.stats.page_walks += 1
-        result = self._do_walk(core, vm, asid, virtual_address)
         self._last_walk_latency = result.latency
         return TlbEntry(
             frame_base=result.translation.frame_base,
@@ -924,9 +842,9 @@ class System:
             saved = (acct._prefix, acct._split)
             acct._prefix = "data"
             acct._split = True
-        # ``_data_access`` inlined (one call per simulated access saved);
-        # the L2 entry stays behind ``self._mem_from_l2`` so the profiler
-        # wrapper seam keeps working.
+        # The L1D reference is inlined (one call per simulated access
+        # saved); the L2 entry stays behind ``self._mem_from_l2`` so the
+        # profiler wrapper seam keeps working.
         line = physical & _LINE_MASK
         l1d = core.l1d
         l1d_latency = l1d.latency
@@ -966,56 +884,6 @@ class System:
 
         stats.cycles += cycles
         stats.instructions += instructions
-        stats.memory_accesses += 1
-        self._total_accesses += 1
-
-    def _access_bare(
-        self, core_id: int, asid: Asid, virtual_address: int, is_write: bool
-    ) -> None:
-        """:meth:`access` with the cycle-accounting hooks compiled out;
-        bound over it at construction when no accountant exists."""
-        core = self.cores[core_id]
-        stats = core.stats
-        cycles = self._base_cycles
-
-        entry = core.l1_tlb.lookup(asid, virtual_address)
-        if entry is None:
-            stats.l1_tlb_misses += 1
-            stall, entry = self.translate_beyond_l1(core, asid, virtual_address)
-            cycles += stall
-            stats.translation_stall_cycles += stall
-
-        page_mask = (1 << entry.page_bits) - 1
-        physical = (entry.frame_base << PAGE_4K_BITS) + (virtual_address & page_mask)
-        # ``_data_access`` inlined, as in :meth:`access`.
-        line = physical & _LINE_MASK
-        l1d = core.l1d
-        l1d_latency = l1d.latency
-        if l1d.lookup(line, 0, is_write):
-            data_latency = l1d_latency
-        else:
-            data_latency = l1d_latency + self._mem_from_l2(core, line, 0, False)
-            evicted = l1d.fill(line, 0, dirty=is_write)
-            if evicted is not None and evicted.dirty:
-                core.l2.write_back(evicted.address, evicted.kind)
-        miss_latency = data_latency - l1d_latency
-        # ``MshrModel`` fast path inlined, as in :meth:`access`.
-        mshr = core.mshr
-        miss_rate = mshr._miss_rate
-        if miss_latency > 0:
-            miss_rate += mshr.decay * (1.0 - miss_rate)
-            mshr._miss_rate = miss_rate
-            mlp = 1.0 + (
-                min(float(mshr.entries), mshr.workload_mlp) - 1.0
-            ) * miss_rate
-            stall = round(miss_latency / mlp * _CYCLE_SCALE) / _CYCLE_SCALE
-            cycles += stall
-            stats.data_stall_cycles += stall
-        else:
-            mshr._miss_rate = miss_rate + mshr.decay * (0.0 - miss_rate)
-
-        stats.cycles += cycles
-        stats.instructions += self._instructions_per_access
         stats.memory_accesses += 1
         self._total_accesses += 1
 

@@ -184,7 +184,9 @@ def _check_recency(
 
 def _check_partition(name: str, cache: Cache) -> Iterator[InvariantViolation]:
     data_ways = cache._data_ways
-    data_range, tlb_range = cache._partition_ranges
+    data_range, tlb_range = (
+        range(lo, hi) for lo, hi in cache._partition_bounds
+    )
     if data_ways is None:
         if list(data_range) != list(range(cache.ways)) or list(
             tlb_range

@@ -187,21 +187,3 @@ def zipf_page_sampler(
 
     return sample
 
-
-def interleave_streams(
-    rng: np.random.Generator,
-    streams: "list[tuple[float, AccessStream]]",
-) -> AccessStream:
-    """Mix several streams with the given probabilities (must sum to 1)."""
-    probabilities = np.array([p for p, _ in streams], dtype=np.float64)
-    if not np.isclose(probabilities.sum(), 1.0):
-        raise ValueError(f"stream weights must sum to 1, got {probabilities.sum()}")
-    iterators = [iter(s) for _, s in streams]
-    num_streams = len(iterators)
-
-    def blocks() -> Iterator[list]:
-        while True:
-            choices = rng.choice(num_streams, size=BATCH, p=probabilities)
-            yield [next(iterators[choice]) for choice in choices]
-
-    return BatchedStream(blocks())

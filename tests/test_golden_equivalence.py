@@ -1,11 +1,12 @@
-"""Golden-equivalence suite for the hot-path overhaul (ISSUE 9).
+"""Golden-equivalence suite for the optimized datapath.
 
 The optimized datapath — flat-array caches, monomorphic replacement fast
-paths, bound instrumented/bare method variants, batched stream stepping —
-must be *bit-identical* to the generic reference paths through the public
-results.  Each test runs the same simulation twice, once per path, and
-compares ``SimulationResult.to_dict()`` byte for byte (host-dependent
-fields stripped, exactly as the result store does).
+paths, batched stream stepping — must be *bit-identical* to the generic
+reference paths through the public results, and the single System
+datapath must give the same results whichever telemetry sinks are
+attached.  Each test runs the same simulation twice, once per path or
+sink bundle, and compares ``SimulationResult.to_dict()`` byte for byte
+(host-dependent fields stripped, exactly as the result store does).
 """
 
 from __future__ import annotations
@@ -16,10 +17,17 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.experiments.store import strip_host_fields
-from repro.mem.cache import Cache, set_fast_paths
+from repro.mem.cache import Cache, LineKind, set_fast_paths
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
-from repro.telemetry import CycleAccountant, Telemetry
+from repro.sim.system import System
+from repro.telemetry import (
+    CycleAccountant,
+    EventTracer,
+    HostProfiler,
+    MetricsRegistry,
+    Telemetry,
+)
 from repro.workloads.mixes import make_mix
 from repro.workloads.programs import ConnectedComponent, Gups
 
@@ -60,20 +68,55 @@ def test_fast_paths_match_generic_reference(scheme, replacement):
     assert _canon(fast) == _canon(generic)
 
 
-@pytest.mark.parametrize("scheme", ["conventional", "pom-tlb", "csalt-cd", "tsb"])
-def test_instrumented_matches_bare(scheme):
-    """The accounting-instrumented variants must not perturb results.
+#: Telemetry bundles the one datapath must run unperturbed: each sink
+#: alone, and all of them together (profiler wrappers over the ledger).
+TELEMETRY_BUNDLES = {
+    "accounting": lambda: Telemetry(accounting=CycleAccountant()),
+    "profiler": lambda: Telemetry(profiler=HostProfiler()),
+    "tracer+metrics": lambda: Telemetry(
+        tracer=EventTracer(), metrics=MetricsRegistry()
+    ),
+    "all": lambda: Telemetry.enabled(profile=True, accounting=True),
+}
 
-    The CPI stack itself only exists on the instrumented run; everything
-    else — cycles, hit/miss counts, walk stats — must match exactly.
+
+@pytest.mark.parametrize(
+    "scheme,bundle",
+    [
+        # The accounting-only case keeps its original plain-scheme id.
+        pytest.param(
+            scheme,
+            bundle,
+            id=scheme if bundle == "accounting" else f"{scheme}-{bundle}",
+        )
+        for scheme in ("conventional", "pom-tlb", "csalt-cd", "tsb")
+        for bundle in TELEMETRY_BUNDLES
+    ],
+)
+def test_instrumented_matches_bare(scheme, bundle):
+    """Attached telemetry sinks must not perturb results.
+
+    The CPI stack only exists when a ledger is attached; everything else
+    — cycles, hit/miss counts, walk stats — must match the
+    ``telemetry=None`` run exactly.
     """
     bare = _run(scheme, "lru", telemetry=None)
-    instrumented = _run(
-        scheme, "lru", telemetry=Telemetry(accounting=CycleAccountant())
-    )
-    assert instrumented.pop("cpi_stack", None) is not None
-    bare.pop("cpi_stack", None)
+    telemetry = TELEMETRY_BUNDLES[bundle]()
+    instrumented = _run(scheme, "lru", telemetry=telemetry)
+    cpi_stack = instrumented.pop("cpi_stack", None)
+    assert (cpi_stack is not None) == (telemetry.accounting is not None)
+    assert bare.pop("cpi_stack", None) is None
     assert _canon(bare) == _canon(instrumented)
+
+
+def test_walker_memory_references_take_the_profiled_seam():
+    """Each walker binds ``_mem_from_l2`` after the profiler wrappers are
+    installed, so walk references are timed under the ``cache`` scope."""
+    profiler = HostProfiler()
+    system = System(small_config(), telemetry=Telemetry(profiler=profiler))
+    for core in system.cores:
+        core.walker._access(0x1000 * (core.core_id + 1), LineKind.TLB, False)
+    assert profiler.report()["cache"]["calls"] == len(system.cores)
 
 
 @pytest.mark.parametrize("workload_cls", [Gups, ConnectedComponent])
